@@ -123,17 +123,19 @@ type Template struct {
 	Prio   int        // requested priority level for OpPrioSet
 }
 
-// Dyn is a dynamic instruction instance handed to the pipeline.
+// Dyn is a dynamic instruction instance handed to the pipeline. Fields
+// are ordered so the struct packs into 48 bytes: the pipeline keeps every
+// in-flight instruction in a per-thread ring of these.
 type Dyn struct {
-	Seq    uint64 // per-thread dynamic sequence number (starts at 0)
-	PC     uint64 // pseudo-PC, stable across iterations (body index << 2)
-	Op     Op
-	DepA   uint64 // producer seq; DepNone if none
-	DepB   uint64
+	Seq    uint64     // per-thread dynamic sequence number (starts at 0)
+	PC     uint64     // pseudo-PC, stable across iterations (body index << 2)
+	DepA   uint64     // producer seq; DepNone if none
+	DepB   uint64     //
 	Addr   uint64     // effective address for loads/stores
-	Taken  bool       // branch outcome
+	Op     Op         //
 	Branch BranchKind // branch kind (BranchNone if not a branch)
-	Prio   int        // priority level for OpPrioSet
+	Taken  bool       // branch outcome
+	Prio   int8       // priority level for OpPrioSet
 	// Marks: set on the last instruction of an iteration / repetition so the
 	// measurement layer can account iteration and repetition boundaries.
 	EndIter bool

@@ -131,18 +131,20 @@ func (s *Stream) Kernel() *Kernel { return s.k }
 // EmittedReps returns the number of complete repetitions emitted so far.
 func (s *Stream) EmittedReps() uint64 { return s.reps }
 
-// Next produces the next dynamic instruction. The stream is infinite: the
-// kernel repeats forever, with EndIter/EndRep marks on boundaries.
-func (s *Stream) Next() Dyn {
+// Next writes the next dynamic instruction into d, overwriting every
+// field, so callers can generate straight into their own storage. The
+// stream is infinite: the kernel repeats forever, with EndIter/EndRep
+// marks on boundaries.
+func (s *Stream) Next(d *Dyn) {
 	t := &s.k.Body[s.idx]
-	d := Dyn{
+	*d = Dyn{
 		Seq:    s.seq,
 		PC:     uint64(s.idx) << 2,
 		Op:     t.Op,
 		DepA:   DepNone,
 		DepB:   DepNone,
 		Branch: t.Branch,
-		Prio:   t.Prio,
+		Prio:   int8(t.Prio),
 	}
 	if t.DepA != NoDep && uint64(t.DepA) <= s.seq {
 		d.DepA = s.seq - uint64(t.DepA)
@@ -194,5 +196,4 @@ func (s *Stream) Next() Dyn {
 			s.reps++
 		}
 	}
-	return d
 }

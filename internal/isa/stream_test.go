@@ -5,13 +5,20 @@ import (
 	"testing/quick"
 )
 
+// next returns the stream's next instruction by value.
+func next(s *Stream) Dyn {
+	var d Dyn
+	s.Next(&d)
+	return d
+}
+
 func TestStreamSequenceAndMarks(t *testing.T) {
 	k := buildAccum(t, 3) // body of 3, 3 iters -> 9 dyn per rep
 	s := NewStream(k)
 	for rep := 0; rep < 2; rep++ {
 		for it := 0; it < 3; it++ {
 			for j := 0; j < 3; j++ {
-				d := s.Next()
+				d := next(s)
 				wantSeq := uint64(rep*9 + it*3 + j)
 				if d.Seq != wantSeq {
 					t.Fatalf("seq = %d, want %d", d.Seq, wantSeq)
@@ -37,7 +44,7 @@ func TestStreamLoopBranchOutcome(t *testing.T) {
 	s := NewStream(k)
 	var outcomes []bool
 	for i := 0; i < 9; i++ {
-		d := s.Next()
+		d := next(s)
 		if d.Op == OpBranch {
 			outcomes = append(outcomes, d.Taken)
 		}
@@ -58,8 +65,8 @@ func TestStreamDependencyResolution(t *testing.T) {
 	s := NewStream(k)
 	// First instruction of the program: loop-carried deps point before the
 	// start and must resolve to DepNone.
-	d0 := s.Next() // mul, no deps anyway
-	d1 := s.Next() // add: DepA dist 3 -> before start -> DepNone; DepB dist 1 -> seq 0
+	d0 := next(s) // mul, no deps anyway
+	d1 := next(s) // add: DepA dist 3 -> before start -> DepNone; DepB dist 1 -> seq 0
 	if d0.DepA != DepNone {
 		t.Errorf("d0.DepA = %d, want DepNone", d0.DepA)
 	}
@@ -69,9 +76,9 @@ func TestStreamDependencyResolution(t *testing.T) {
 	if d1.DepB != 0 {
 		t.Errorf("d1.DepB = %d, want 0", d1.DepB)
 	}
-	s.Next()       // branch (seq 2)
-	s.Next()       // mul (seq 3)
-	d4 := s.Next() // add (seq 4): DepA dist 3 -> seq 1; DepB dist 1 -> seq 3
+	next(s)       // branch (seq 2)
+	next(s)       // mul (seq 3)
+	d4 := next(s) // add (seq 4): DepA dist 3 -> seq 1; DepB dist 1 -> seq 3
 	if d4.DepA != 1 || d4.DepB != 3 {
 		t.Errorf("d4 deps = (%d,%d), want (1,3)", d4.DepA, d4.DepB)
 	}
@@ -97,7 +104,7 @@ func TestStreamChaseVisitsAllLines(t *testing.T) {
 	s := NewStream(k)
 	seen := map[uint64]bool{}
 	for i := 0; i < lines*2; i++ {
-		d := s.Next() // load
+		d := next(s) // load
 		if d.Op != OpLoad {
 			t.Fatalf("expected load, got %v", d.Op)
 		}
@@ -108,7 +115,7 @@ func TestStreamChaseVisitsAllLines(t *testing.T) {
 			t.Fatalf("addr %#x outside footprint", d.Addr)
 		}
 		seen[d.Addr] = true
-		s.Next() // branch
+		next(s) // branch
 	}
 	if len(seen) != lines {
 		t.Errorf("chase visited %d distinct lines in 2 laps, want %d", len(seen), lines)
@@ -118,12 +125,12 @@ func TestStreamChaseVisitsAllLines(t *testing.T) {
 func TestStreamChaseCarriesDependency(t *testing.T) {
 	k := buildLoadKernel(t, StreamChase, 64*CacheLineSize)
 	s := NewStream(k)
-	d0 := s.Next()
+	d0 := next(s)
 	if d0.DepA != DepNone {
 		t.Errorf("first chase load DepA = %d, want DepNone", d0.DepA)
 	}
-	s.Next() // branch
-	d2 := s.Next()
+	next(s) // branch
+	d2 := next(s)
 	if d2.DepA != d0.Seq {
 		t.Errorf("second chase load DepA = %d, want %d (previous load)", d2.DepA, d0.Seq)
 	}
@@ -135,13 +142,13 @@ func TestStreamStrideIndependentAndWraps(t *testing.T) {
 	s := NewStream(k)
 	var addrs []uint64
 	for i := 0; i < lines+2; i++ {
-		d := s.Next()
+		d := next(s)
 		if d.DepA != DepNone && d.Op == OpLoad {
 			// stride loads must not carry chase dependencies
 			t.Errorf("stride load %d has DepA = %d", i, d.DepA)
 		}
 		addrs = append(addrs, d.Addr)
-		s.Next()
+		next(s)
 	}
 	// stride 256 = 2 lines; with 8 lines we wrap after 4 accesses.
 	if addrs[0] != addrs[4] {
@@ -157,7 +164,7 @@ func TestStreamRandomStaysInFootprint(t *testing.T) {
 	k := buildLoadKernel(t, StreamRandom, fp)
 	s := NewStream(k)
 	for i := 0; i < 200; i++ {
-		d := s.Next()
+		d := next(s)
 		if d.Op == OpLoad && d.Addr >= fp {
 			t.Fatalf("random addr %#x outside footprint %#x", d.Addr, uint64(fp))
 		}
@@ -178,7 +185,7 @@ func TestStreamPatternBranch(t *testing.T) {
 	s := NewStream(k)
 	var got []bool
 	for i := 0; i < 12; i++ {
-		d := s.Next()
+		d := next(s)
 		if d.Branch == BranchPattern {
 			got = append(got, d.Taken)
 		}
@@ -218,7 +225,7 @@ func TestStreamDepsBackwardProperty(t *testing.T) {
 	k := buildAccum(t, 5)
 	s := NewStream(k)
 	for i := 0; i < 500; i++ {
-		d := s.Next()
+		d := next(s)
 		if d.DepA != DepNone && d.DepA >= d.Seq {
 			t.Fatalf("seq %d DepA %d not strictly backwards", d.Seq, d.DepA)
 		}

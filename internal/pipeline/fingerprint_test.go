@@ -16,6 +16,7 @@ import (
 	"power5prio/internal/core"
 	"power5prio/internal/isa"
 	"power5prio/internal/microbench"
+	"power5prio/internal/pipeline"
 	"power5prio/internal/prio"
 )
 
@@ -135,16 +136,12 @@ func foldStats(h hash.Hash64, ch *core.Chip) {
 // fingerprint steps the input for fingerprintCycles cycles and returns
 // the running hash at every checkpoint, 8 hex digits each. The hash is
 // chained, so a divergence shows at its checkpoint and every later one.
-// each, when non-nil, runs after every Step.
-func fingerprint(tb testing.TB, in fpInput, each func(*core.Chip)) string {
+func fingerprint(tb testing.TB, in fpInput) string {
 	ch := in.build(tb)
 	h := fnv.New64a()
 	var sb strings.Builder
 	for n := 1; n <= fingerprintCycles; n++ {
 		ch.Step()
-		if each != nil {
-			each(ch)
-		}
 		if n%fingerprintEvery == 0 {
 			foldStats(h, ch)
 			fmt.Fprintf(&sb, "%08x", uint32(h.Sum64()))
@@ -166,7 +163,7 @@ func TestCycleFingerprint(t *testing.T) {
 		for i, in := range ins {
 			t.Run(in.name, func(t *testing.T) {
 				t.Parallel()
-				res[i] = fingerprint(t, in, nil)
+				res[i] = fingerprint(t, in)
 			})
 		}
 	})
@@ -207,5 +204,27 @@ func TestCycleFingerprint(t *testing.T) {
 			k += 8
 		}
 		t.Errorf("%s: diverged by cycle %d", in.name, (k/8+1)*fingerprintEvery)
+	}
+}
+
+// invariantCycles is how long TestInvariants checks each input: the
+// structural check after every Step costs several times the Step.
+const invariantCycles = 10_000
+
+// TestInvariants runs pipeline.InvariantChecker after every Step of the
+// first invariantCycles cycles of each fingerprint input.
+func TestInvariants(t *testing.T) {
+	for _, in := range fingerprintInputs() {
+		t.Run(in.name, func(t *testing.T) {
+			t.Parallel()
+			ch := in.build(t)
+			inv := pipeline.NewInvariantChecker(ch.ExperimentCore())
+			for n := 0; n < invariantCycles; n++ {
+				ch.Step()
+				if err := inv.Check(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
