@@ -134,8 +134,8 @@ const minSkip = 2
 // window, which makes the busy path two flag loads. (The previous
 // idle-only skipper needed an exponential backoff with a prime cap to
 // avoid phase-locking against the power-of-two decode windows; exact
-// events made it dead weight and it was removed — BenchmarkAdvanceBusy
-// pins the busy-path cost against BenchmarkStepBusy.)
+// events made it dead weight and it was removed. BenchmarkAdvanceBusy
+// measures the busy-path cost against BenchmarkStepBusy.)
 //
 // Advancing is bit-identical to stepping: results, statistics and
 // timeouts are unchanged, only wall-clock time is saved.

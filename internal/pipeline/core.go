@@ -47,7 +47,7 @@ type group struct {
 // dispatch until it issues or is squashed, and is in exactly one state:
 // waiting on pending unissued producers (they wake it when they issue),
 // timed (every producer issued, readyAt in the future; on the timing
-// wheel or the far heap)
+// wheel or the far list)
 // or ready (on its unit's age-ordered ready list).
 type qent struct {
 	age     uint64 // core-wide dispatch order; 0 marks a free slot
@@ -69,7 +69,7 @@ type waiter struct {
 	age  uint64
 }
 
-// timedEnt is a far-heap item: queue slot becomes ready at cycle at.
+// timedEnt is a far-list item: queue slot becomes ready at cycle at.
 type timedEnt struct {
 	at   uint64
 	slot int32
@@ -226,9 +226,9 @@ type Core struct {
 	// Issue queues: fixed entry slots shared by all unit classes, with
 	// per-unit occupancy and age-ordered ready lists. Timed entries wait
 	// on a timing wheel when due within wheelSize cycles (wheelBits marks
-	// the non-empty buckets) and on the far min-heap otherwise. Per-cycle
-	// issue work is proportional to the entries that are due, not to
-	// queue occupancy.
+	// the non-empty buckets) and on the far list otherwise; farMin is the
+	// far list's earliest due cycle. Per-cycle issue work is proportional
+	// to the entries that are due, not to queue occupancy.
 	ents      []qent
 	entFree   []int32
 	qlen      [isa.UnitCount]int
@@ -236,6 +236,7 @@ type Core struct {
 	wheel     [wheelSize][]int32
 	wheelBits uint64
 	far       []timedEnt
+	farMin    uint64
 	nextAge   uint64
 
 	// GCT: fixed group slots and a free stack of their indices.
@@ -273,6 +274,7 @@ func NewCore(cfg Config, hier *mem.Hierarchy, id int) *Core {
 		pred:    branch.New(cfg.BHTBits),
 		alloc:   prio.NewAllocator(prio.Medium, prio.Medium),
 		mon:     balance.NewMonitor(cfg.Balance),
+		farMin:  NoEvent,
 		nextAge: 1,
 	}
 	n := 0
@@ -462,19 +464,6 @@ func (c *Core) Run(n uint64) {
 // all reports ok with wake == NoEvent, leaving the bound to the caller.
 func (c *Core) NextEvent(minAhead uint64) (wake uint64, ok bool) {
 	now := c.cycle
-	if c.quiet() {
-		// Only a redirect expiry is still time-indexed.
-		wake = NoEvent
-		for _, ts := range c.thr {
-			if ts.blockedUntil > now && ts.blockedUntil < wake {
-				wake = ts.blockedUntil
-			}
-		}
-		if wake != NoEvent && wake < now+minAhead {
-			return 0, false
-		}
-		return wake, true
-	}
 	c.thr[0].lmqTick(now)
 	c.thr[1].lmqTick(now)
 	wake = NoEvent
@@ -683,7 +672,7 @@ func (c *Core) squash(ts *threadState, seq uint64, now uint64) {
 }
 
 // dropEntries frees every queue entry matching drop and removes it from
-// the ready lists, the timing wheel and the far heap. Registrations made
+// the ready lists, the timing wheel and the far list. Registrations made
 // by dropped entries go stale: the age check skips them at wake, and a
 // producer's list is emptied when it issues.
 func (c *Core) dropEntries(drop func(*qent) bool) {
@@ -708,16 +697,15 @@ func (c *Core) dropEntries(drop func(*qent) bool) {
 			c.wheelBits &^= 1 << i
 		}
 	}
-	h := c.far[:0]
+	far := c.far[:0]
+	c.farMin = NoEvent
 	for _, x := range c.far {
 		if c.ents[x.slot].age != 0 {
-			h = append(h, x)
+			far = append(far, x)
+			c.farMin = min(c.farMin, x.at)
 		}
 	}
-	c.far = h
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		c.siftDown(i)
-	}
+	c.far = far
 }
 
 // liveOnly filters freed slots out of l in place.
@@ -868,7 +856,7 @@ func (c *Core) execute(e *qent, now uint64) {
 
 // schedule places an entry whose producers have all issued: on its
 // unit's ready list when it can issue at cycle horizon, else on the
-// timing wheel (or the far heap) until its readyAt.
+// timing wheel (or the far list) until its readyAt.
 func (c *Core) schedule(s int32, horizon uint64) {
 	at := c.ents[s].readyAt
 	switch {
@@ -879,7 +867,8 @@ func (c *Core) schedule(s int32, horizon uint64) {
 		c.wheel[b] = append(c.wheel[b], s)
 		c.wheelBits |= 1 << b
 	default:
-		c.pushFar(timedEnt{at: at, slot: s})
+		c.far = append(c.far, timedEnt{at: at, slot: s})
+		c.farMin = min(c.farMin, at)
 	}
 }
 
@@ -909,13 +898,20 @@ func (c *Core) promote(now uint64) {
 		c.wheel[b] = c.wheel[b][:0]
 		c.wheelBits &^= 1 << b
 	}
-	for len(c.far) > 0 && c.far[0].at <= now {
-		s := c.far[0].slot
-		last := len(c.far) - 1
-		c.far[0] = c.far[last]
-		c.far = c.far[:last]
-		c.siftDown(0)
-		c.makeReady(s)
+	if c.farMin <= now {
+		// Far entries are rare (operands due wheelSize or more cycles
+		// after their producer issued), so a linear pass is cheap.
+		far := c.far[:0]
+		c.farMin = NoEvent
+		for _, x := range c.far {
+			if x.at <= now {
+				c.makeReady(x.slot)
+			} else {
+				far = append(far, x)
+				c.farMin = min(c.farMin, x.at)
+			}
+		}
+		c.far = far
 	}
 }
 
@@ -927,51 +923,7 @@ func (c *Core) nextTimed(now uint64) uint64 {
 		d := bits.TrailingZeros64(bits.RotateLeft64(c.wheelBits, -int(now&(wheelSize-1))))
 		at = now + uint64(d)
 	}
-	if len(c.far) > 0 && c.far[0].at < at {
-		at = c.far[0].at
-	}
-	return at
-}
-
-// pushFar adds x to the far min-heap.
-func (c *Core) pushFar(x timedEnt) {
-	h := append(c.far, x)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].at <= x.at {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = x
-	c.far = h
-}
-
-// siftDown restores the far heap's order below index i.
-func (c *Core) siftDown(i int) {
-	h := c.far
-	n := len(h)
-	if i >= n {
-		return
-	}
-	x := h[i]
-	for {
-		k := 2*i + 1
-		if k >= n {
-			break
-		}
-		if k+1 < n && h[k+1].at < h[k].at {
-			k++
-		}
-		if x.at <= h[k].at {
-			break
-		}
-		h[i] = h[k]
-		i = k
-	}
-	h[i] = x
+	return min(at, c.farMin)
 }
 
 // balanceStep runs the resource-balancing monitor for both threads and

@@ -20,8 +20,8 @@ import (
 //   - ownership: every queue entry belongs to an in-flight group of its
 //     thread that covers its sequence number;
 //   - scheduling: every entry is in exactly one state, ready lists are
-//     in age order, timed entries sit in the right bucket or heap
-//     position, and a waiting entry's pending count matches its live
+//     in age order, timed entries sit in the right wheel bucket or on
+//     the far list, and a waiting entry's pending count matches its live
 //     registrations on unissued producers;
 //   - decode arbitration: while both threads run at a fixed priority
 //     pair, every window of R = prio.R(diff) consecutive grants gives
@@ -194,13 +194,18 @@ func (k *InvariantChecker) queues() error {
 			}
 		}
 	}
+	farMin := NoEvent
 	for i, x := range c.far {
-		if x.at != c.ents[x.slot].readyAt || x.at < c.cycle || (i > 0 && c.far[(i-1)/2].at > x.at) {
-			return fmt.Errorf("far heap item %d (due %d) misplaced", i, x.at)
+		farMin = min(farMin, x.at)
+		if x.at != c.ents[x.slot].readyAt || x.at < c.cycle {
+			return fmt.Errorf("far list item %d (due %d) misplaced", i, x.at)
 		}
 		if err := mark(x.slot, timed, "far"); err != nil {
 			return err
 		}
+	}
+	if farMin != c.farMin {
+		return fmt.Errorf("far list minimum %d, cached %d", farMin, c.farMin)
 	}
 	// Each waiting entry's pending count equals its live registrations,
 	// all on producers that have not issued.
