@@ -35,7 +35,11 @@ const (
 	// fingerprintEvery is the checkpoint interval: the statistics are
 	// folded into the running hash every this many cycles.
 	fingerprintEvery = 1_000
-	fingerprintFile  = "testdata/fingerprint.json"
+	// invariantCycles is how many leading cycles of each input run
+	// pipeline.InvariantChecker after every Step; the check costs
+	// several Steps, so it covers the warm-up and first steady phase.
+	invariantCycles = 5_000
+	fingerprintFile = "testdata/fingerprint.json"
 )
 
 // fpInput is one fixed simulation input: a chip configuration and a
@@ -136,12 +140,20 @@ func foldStats(h hash.Hash64, ch *core.Chip) {
 // fingerprint steps the input for fingerprintCycles cycles and returns
 // the running hash at every checkpoint, 8 hex digits each. The hash is
 // chained, so a divergence shows at its checkpoint and every later one.
+// The experiment core's invariants are checked after each of the first
+// invariantCycles Steps.
 func fingerprint(tb testing.TB, in fpInput) string {
 	ch := in.build(tb)
+	inv := pipeline.NewInvariantChecker(ch.ExperimentCore())
 	h := fnv.New64a()
 	var sb strings.Builder
 	for n := 1; n <= fingerprintCycles; n++ {
 		ch.Step()
+		if n <= invariantCycles {
+			if err := inv.Check(); err != nil {
+				tb.Fatalf("%s: invariant violated: %v", in.name, err)
+			}
+		}
 		if n%fingerprintEvery == 0 {
 			foldStats(h, ch)
 			fmt.Fprintf(&sb, "%08x", uint32(h.Sum64()))
@@ -154,7 +166,8 @@ func fingerprint(tb testing.TB, in fpInput) string {
 // input set. The goldens pin only end-of-run IPCs at one fidelity, and
 // the lockstep suites compare the event wheel against the same Step, so
 // neither catches a changed Step; this does, and it names the first
-// checkpoint (in thousands of cycles) where an input diverged.
+// checkpoint (in thousands of cycles) where an input diverged. It also
+// runs pipeline.InvariantChecker over the same inputs.
 func TestCycleFingerprint(t *testing.T) {
 	ins := fingerprintInputs()
 	got := make(map[string]string, len(ins))
@@ -204,27 +217,5 @@ func TestCycleFingerprint(t *testing.T) {
 			k += 8
 		}
 		t.Errorf("%s: diverged by cycle %d", in.name, (k/8+1)*fingerprintEvery)
-	}
-}
-
-// invariantCycles is how long TestInvariants checks each input: the
-// structural check after every Step costs several times the Step.
-const invariantCycles = 10_000
-
-// TestInvariants runs pipeline.InvariantChecker after every Step of the
-// first invariantCycles cycles of each fingerprint input.
-func TestInvariants(t *testing.T) {
-	for _, in := range fingerprintInputs() {
-		t.Run(in.name, func(t *testing.T) {
-			t.Parallel()
-			ch := in.build(t)
-			inv := pipeline.NewInvariantChecker(ch.ExperimentCore())
-			for n := 0; n < invariantCycles; n++ {
-				ch.Step()
-				if err := inv.Check(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
 	}
 }
